@@ -64,7 +64,6 @@ func runBench(out, baseline string) {
 		{"BeaconEncode/IdleDTIM", benchBeaconEncode},
 		{"MediumFanout/16", benchMediumFanout},
 		{"Stations/1M", benchStationsMillion},
-		{"Stations/1M/parallel", benchStationsMillionParallel},
 		{"ESS/K=8/roam", benchESSRoam},
 		{"Lint/tree", benchLintTree},
 	}
@@ -179,17 +178,10 @@ func benchTrajectory() {
 	fmt.Println("within the AID space per the internal/check equivalence suite, the")
 	fmt.Println("aggregate what-if regime past it (DESIGN.md §9).")
 	fmt.Println()
-	fmt.Println("Stations/1M/parallel is the same workload through the windowed-parallel")
-	fmt.Println("assembly (DESIGN.md §13) at four window workers: cohort blocks advance")
-	fmt.Println("through one DTIM window each on their own goroutines and AP-side")
-	fmt.Println("effects merge serially at the barrier, with output byte-identical to")
-	fmt.Println("one worker (the windowed equivalence suite in internal/check). The")
-	fmt.Println("speedup claim — ≥1.5× under the serial Stations/1M figure at 4 workers")
-	fmt.Println("— applies on a multi-core runner; the recorded num_cpu above says what")
-	fmt.Println("this host could exploit, and on a single-core host the workers")
-	fmt.Println("serialize so the two headlines coincide up to windowing overhead.")
-	fmt.Println("Inspect worker utilization with `go run ./cmd/report -bench -trace")
-	fmt.Println("w.out` and `go tool trace w.out`.")
+	fmt.Println("The Stations/1M/parallel row is history: it measured the")
+	fmt.Println("windowed-parallel single-BSS mode, which lost to serial at every")
+	fmt.Println("worker count on 2 CPUs and was removed on 2026-10-17 (DESIGN.md §13).")
+	fmt.Println("Single-BSS runs are serial; internal/ess is the parallel executor.")
 	fmt.Println()
 	fmt.Println("ESS/K=8/roam is the sharded multi-AP headline: an 8-AP extended")
 	fmt.Println("service set with 64 roaming HIDE stations and replicated port-table")
@@ -310,37 +302,6 @@ func benchStationsMillion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, err := core.ScaleClientsOptions(tr, hide.NexusOne, []int{1_000_000}, core.Options{Cohort: 1 << 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pts[0].N != 1_000_000 {
-			b.Fatalf("scaled %d clients, want 1000000", pts[0].N)
-		}
-	}
-}
-
-// benchStationsMillionParallel is the same 10⁶-client workload run
-// through the windowed-parallel assembly (core.WindowedNetwork,
-// DESIGN.md §13) at four window workers: each cohort block advances
-// through one DTIM window on its own worker, AP-side effects merge
-// serially at the barrier, and the output is byte-identical to
-// WindowWorkers=1 (the windowed equivalence suite in internal/check).
-// On a multi-core runner this headline should land ≥1.5× under the
-// serial Stations/1M figure; on a single-core host (see the recorded
-// num_cpu) the workers serialize and the two headlines coincide up to
-// windowing overhead.
-func benchStationsMillionParallel(b *testing.B) {
-	cfg := hide.ScenarioConfig(hide.WRL)
-	cfg.Duration = 2 * time.Minute
-	tr, err := hide.GenerateTraceConfig(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := core.ScaleClientsOptions(tr, hide.NexusOne, []int{1_000_000},
-			core.Options{Cohort: 1 << 30, WindowWorkers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

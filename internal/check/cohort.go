@@ -226,37 +226,30 @@ func RunEquivCell(c EquivCell, cfg EquivConfig) (EquivResult, error) {
 
 // diffSides compares every observable and names the first divergence.
 func diffSides(coh, exp *equivSide, size int, cfg EquivConfig, window time.Duration) string {
-	return diffSidesLabeled(coh, exp, "cohort", "expanded", size, cfg, window)
-}
-
-// diffSidesLabeled is diffSides with caller-chosen side names, shared
-// with the windowed-parallel determinism layer (window.go) where the
-// sides are worker counts rather than representations.
-func diffSidesLabeled(a, b *equivSide, an, bn string, size int, cfg EquivConfig, window time.Duration) string {
-	if a.frames != b.frames {
-		return fmt.Sprintf("frame count: %s %d, %s %d", an, a.frames, bn, b.frames)
+	if coh.frames != exp.frames {
+		return fmt.Sprintf("frame count: cohort %d, expanded %d", coh.frames, exp.frames)
 	}
-	if a.fp != b.fp {
-		return fmt.Sprintf("frame-stream fingerprint: %s %016x, %s %016x", an, a.fp, bn, b.fp)
+	if coh.fp != exp.fp {
+		return fmt.Sprintf("frame-stream fingerprint: cohort %016x, expanded %016x", coh.fp, exp.fp)
 	}
 	for i := 0; i < size; i++ {
-		if a.stats[i] != b.stats[i] {
-			return fmt.Sprintf("member %d stats: %s %+v, %s %+v", i, an, a.stats[i], bn, b.stats[i])
+		if coh.stats[i] != exp.stats[i] {
+			return fmt.Sprintf("member %d stats: cohort %+v, expanded %+v", i, coh.stats[i], exp.stats[i])
 		}
-		if d := diffArrivals(a.arrivals[i], b.arrivals[i], an, bn); d != "" {
+		if d := diffArrivals(coh.arrivals[i], exp.arrivals[i]); d != "" {
 			return fmt.Sprintf("member %d %s", i, d)
 		}
 		for _, dev := range cfg.Devices {
-			ab, err := energy.Compute(a.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
+			cb, err := energy.Compute(coh.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
 			if err != nil {
-				return fmt.Sprintf("member %d %s energy: %v", i, an, err)
+				return fmt.Sprintf("member %d cohort energy: %v", i, err)
 			}
-			bb, err := energy.Compute(b.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
+			eb, err := energy.Compute(exp.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
 			if err != nil {
-				return fmt.Sprintf("member %d %s energy: %v", i, bn, err)
+				return fmt.Sprintf("member %d expanded energy: %v", i, err)
 			}
-			if ab != bb {
-				return fmt.Sprintf("member %d %s energy: %s %+v, %s %+v", i, dev.Name, an, ab, bn, bb)
+			if cb != eb {
+				return fmt.Sprintf("member %d %s energy: cohort %+v, expanded %+v", i, dev.Name, cb, eb)
 			}
 		}
 	}
@@ -264,13 +257,13 @@ func diffSidesLabeled(a, b *equivSide, an, bn string, size int, cfg EquivConfig,
 }
 
 // diffArrivals compares two arrival logs entry by entry.
-func diffArrivals(a, b []energy.Arrival, an, bn string) string {
+func diffArrivals(a, b []energy.Arrival) string {
 	if len(a) != len(b) {
-		return fmt.Sprintf("arrival count: %s %d, %s %d", an, len(a), bn, len(b))
+		return fmt.Sprintf("arrival count: cohort %d, expanded %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return fmt.Sprintf("arrival %d: %s %+v, %s %+v", i, an, a[i], bn, b[i])
+			return fmt.Sprintf("arrival %d: cohort %+v, expanded %+v", i, a[i], b[i])
 		}
 	}
 	return ""

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"flag"
 	"path/filepath"
 	"sync"
@@ -69,9 +70,9 @@ func deviceSuite(t *testing.T, dev energy.Profile) *core.Suite {
 	if s, ok := suiteCache.m[dev.Name]; ok {
 		return s
 	}
-	s, err := core.RunSuite(dev, core.Options{})
+	s, err := core.RunSuiteContext(context.Background(), dev, core.Options{})
 	if err != nil {
-		t.Fatalf("RunSuite(%s): %v", dev.Name, err)
+		t.Fatalf("RunSuiteContext(%s): %v", dev.Name, err)
 	}
 	suiteCache.m[dev.Name] = s
 	return s
@@ -128,7 +129,7 @@ func TestGolden(t *testing.T) {
 // the regeneration pipeline is deterministic.
 func TestGoldenDeterminism(t *testing.T) {
 	render := func() []byte {
-		s, err := core.RunSuite(energy.NexusOne, core.Options{})
+		s, err := core.RunSuiteContext(context.Background(), energy.NexusOne, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

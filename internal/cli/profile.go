@@ -12,9 +12,10 @@ import (
 // ProfileFlags registers the -cpuprofile, -memprofile, and -trace
 // flags on the default flag set and returns the bound values. All
 // default to off (empty path). The -trace capture is the inspection
-// tool for the windowed-parallel runner: `go tool trace` shows the
-// per-window group-worker fan-out, the serial barrier gaps between
-// fan-outs, and how evenly the group drains pack onto the workers.
+// tool for goroutine-parallel runs (the internal/ess shard workers and
+// the internal/engine evaluation pool): `go tool trace` shows the
+// per-window fan-out, the serial barrier gaps between fan-outs, and
+// how evenly the work packs onto the workers.
 func ProfileFlags() (cpu, mem, trace *string) {
 	cpu = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	mem = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -198,7 +198,7 @@ func TestCaptureClosesTheLoop(t *testing.T) {
 		}
 	}
 	// The re-imported trace drives the analytic pipeline end to end.
-	r, err := EvaluateFraction(got, 0.10, energy.NexusOne, policy.ReceiveAll, Options{})
+	r, err := EvaluateFractionContext(context.Background(), got, 0.10, energy.NexusOne, policy.ReceiveAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,34 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// scaleAssembly is the slice of the assembly API the scaling loops
-// need, satisfied by both the serial Network and the windowed-parallel
-// WindowedNetwork so one loop body serves both execution modes.
-type scaleAssembly interface {
-	AddStation(mode station.Mode, openPorts []uint16) (*station.Station, error)
-	AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error)
-	Replay(tr *trace.Trace) error
-}
-
-// newScaleAssembly builds the execution mode opts selects: the legacy
-// single-engine Network, or (opts.WindowWorkers ≥ 1) the windowed
-// assembly with that concurrency bound. The returned *Network is the
-// stats/energy view — the network itself, or the windowed hub.
-func newScaleAssembly(cfg NetworkConfig, opts Options) (scaleAssembly, *Network, error) {
-	if opts.WindowWorkers > 0 {
-		w, err := NewWindowedNetwork(WindowConfig{Network: cfg, Workers: opts.WindowWorkers})
-		if err != nil {
-			return nil, nil, err
-		}
-		return w, w.Hub, nil
-	}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, n, nil
-}
-
 // ScalePoint is one population size in the client-scaling experiment —
 // a question the paper leaves implicit: how do the BTIM element and
 // per-station energy behave as the HIDE population grows? The BTIM's
@@ -62,13 +34,12 @@ type ScalePoint struct {
 // Station i listens on a port drawn round-robin from the trace's port
 // set, so usefulness is spread across the population.
 func ScaleClients(tr *trace.Trace, dev energy.Profile, sizes []int) ([]ScalePoint, error) {
-	return scaleIndividual(NetworkConfig{HIDE: true}, tr, dev, sizes, Options{})
+	return scaleIndividual(NetworkConfig{HIDE: true}, tr, dev, sizes)
 }
 
 // scaleIndividual is the individually-modeled-station scaling path,
-// parameterized by the network configuration and the execution mode
-// (opts.WindowWorkers).
-func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
+// parameterized by the network configuration.
+func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int) ([]ScalePoint, error) {
 	hist := tr.PortHistogram()
 	var ports []uint16
 	for p := range hist {
@@ -84,19 +55,19 @@ func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, siz
 		if n < 1 {
 			return nil, fmt.Errorf("core: population %d < 1", n)
 		}
-		asm, net, err := newScaleAssembly(cfg, opts)
+		net, err := NewNetwork(cfg)
 		if err != nil {
 			return nil, err
 		}
 		sts := make([]*station.Station, 0, n)
 		for i := 0; i < n; i++ {
-			st, err := asm.AddStation(station.HIDE, []uint16{ports[i%len(ports)]})
+			st, err := net.AddStation(station.HIDE, []uint16{ports[i%len(ports)]})
 			if err != nil {
 				return nil, err
 			}
 			sts = append(sts, st)
 		}
-		if err := asm.Replay(tr); err != nil {
+		if err := net.Replay(tr); err != nil {
 			return nil, err
 		}
 
@@ -139,7 +110,7 @@ func ScaleClientsOptions(tr *trace.Trace, dev energy.Profile, sizes []int, opts 
 func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
 	cfg.HIDE = true
 	if opts.Cohort <= 1 {
-		return scaleIndividual(cfg, tr, dev, sizes, opts)
+		return scaleIndividual(cfg, tr, dev, sizes)
 	}
 	hist := tr.PortHistogram()
 	var ports []uint16
@@ -156,7 +127,7 @@ func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile,
 		if n < 1 {
 			return nil, fmt.Errorf("core: population %d < 1", n)
 		}
-		asm, net, err := newScaleAssembly(cfg, opts)
+		net, err := NewNetwork(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -167,14 +138,14 @@ func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile,
 				size++
 			}
 			for off := 0; off < size; off += opts.Cohort {
-				c, err := asm.AddCohort(station.HIDE, []uint16{ports[i]}, min(opts.Cohort, size-off), 1)
+				c, err := net.AddCohort(station.HIDE, []uint16{ports[i]}, min(opts.Cohort, size-off), 1)
 				if err != nil {
 					return nil, err
 				}
 				cohorts = append(cohorts, c)
 			}
 		}
-		if err := asm.Replay(tr); err != nil {
+		if err := net.Replay(tr); err != nil {
 			return nil, err
 		}
 

@@ -282,3 +282,34 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("oversized AP count accepted")
 	}
 }
+
+// TestParallelRoamNoStaleHandles roams stations between shards that run
+// on concurrent workers. A roamed station must keep no timer handle
+// into its old shard's engine: that shard's worker goes on recycling
+// the handle's event item, so a later Cancel from the new shard would
+// race with it. Only go test -race sees that race.
+func TestParallelRoamNoStaleHandles(t *testing.T) {
+	tr := testTrace(t, trace.Classroom, 20*time.Second)
+	e, err := New(Config{
+		APs:       8,
+		Network:   core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Harden: true, Seed: 7},
+		Replicate: true,
+		RoamRate:  2,
+		RoamSeed:  7,
+		Workers:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := e.AddStation(station.HIDE, []uint16{5353}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().Roams == 0 {
+		t.Fatal("no roams at RoamRate=2 over 20 s with 64 stations")
+	}
+}

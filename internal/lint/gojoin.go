@@ -27,9 +27,9 @@ var GoJoin = &Analyzer{
 }
 
 // goJoinScope lists the packages whose goroutines must be joined.
-// internal/core joined the scope with the windowed-parallel runner:
-// its per-window group workers (WindowedNetwork.advanceGroups) carry
-// exactly the barrier discipline this analyzer protects.
+// internal/core is in scope for its ServeMonitor goroutine (joined by
+// Monitor.Close) and so that any worker pool added to the single-BSS
+// run loop meets the same join discipline as internal/ess.
 var goJoinScope = map[string]bool{
 	"internal/engine":    true,
 	"internal/ess":       true,

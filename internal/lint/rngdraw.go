@@ -31,9 +31,10 @@ var RNGDraw = &Analyzer{
 }
 
 // rngDrawScope lists the packages carrying the draw-count discipline.
-// internal/core joined the scope with the windowed-parallel runner:
-// group-private RNG streams stay worker-count independent only while
-// every draw site keeps the fixed-count convention.
+// internal/core is in scope for the refresh-jitter draw in
+// Network.stationConfig: any new draw site in station assembly must
+// keep the fixed-count convention, so a run's RNG streams do not
+// depend on which knobs a station happened to take.
 var rngDrawScope = map[string]bool{
 	"internal/fault":   true,
 	"internal/ess":     true,

@@ -1,8 +1,8 @@
-// Package fixture is the windowed-parallel gojoin canary: a
-// WindowedNetwork-shaped group advance whose worker pool claims groups
-// atomically but returns without waiting for the workers — the exact
-// leak the barrier merge in internal/core must never have. The canary
-// test asserts exactly ONE diagnostic, at the marked line.
+// Package fixture is the internal/core gojoin canary: a group advance
+// whose worker pool claims groups atomically but returns without
+// waiting for the workers — the leak any worker pool in internal/core
+// must never have before it reads group state. The canary test
+// asserts exactly ONE diagnostic, at the marked line.
 package fixture
 
 import "sync/atomic"

@@ -97,7 +97,6 @@ type Medium struct {
 	Stats Stats
 
 	tap func(raw []byte, rate dot11.Rate, at time.Duration)
-	obs func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration)
 
 	deliverFn sim.ArgEvent   // bound once; avoids a closure per Transmit
 	txFree    []*pendingTx   // recycled in-flight transmission records
@@ -181,40 +180,6 @@ func (m *Medium) SetFaultPlan(p fault.Plan) { m.plan = p }
 // monitoring.
 func (m *Medium) SetTap(tap func(raw []byte, rate dot11.Rate, at time.Duration)) {
 	m.tap = tap
-}
-
-// SetTxObserver installs a source-aware transmission observer invoked
-// once per Transmit with the sender address, the shared immutable frame
-// copy, and the resolved start-of-airtime and delivery instants. Unlike
-// the tap (a monitor-mode capture), the observer exists for execution
-// machinery: the windowed-parallel runner uses it to harvest a window's
-// transmissions for barrier replay on another medium. A nil observer
-// disables it.
-func (m *Medium) SetTxObserver(obs func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration)) {
-	m.obs = obs
-}
-
-// InjectAt schedules a frame for delivery at an exact instant without
-// occupying the channel: contention, busy time, and the transmission
-// counter are untouched, because the frame already paid its airtime on
-// the medium that originally carried it. The windowed-parallel runner
-// uses it to mirror hub-side transmissions into group-local media at
-// their recorded delivery times. The fault plan (and its RNG draws)
-// still applies per receiver at delivery, exactly as for a native
-// transmission. Unlike Transmit, the buffer is NOT copied — the caller
-// must pass a frame that stays immutable until delivered (the observer
-// hands out exactly such buffers), so mirroring one transmission into
-// many groups shares a single copy. Injecting before the engine's
-// current time is an error.
-func (m *Medium) InjectAt(src dot11.MACAddr, raw []byte, rate dot11.Rate, deliverAt time.Duration) error {
-	tx := m.allocTx()
-	tx.src, tx.frame, tx.rate = src, raw, rate
-	if _, err := m.eng.ScheduleArgAt(deliverAt, m.deliverFn, tx); err != nil {
-		tx.frame = nil
-		m.txFree = append(m.txFree, tx)
-		return err
-	}
-	return nil
 }
 
 // Attach registers a node under its MAC address. Attaching the same
@@ -342,9 +307,6 @@ func (m *Medium) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.D
 	frame := append([]byte(nil), raw...)
 	if m.tap != nil {
 		m.tap(frame, rate, start)
-	}
-	if m.obs != nil {
-		m.obs(src, frame, rate, start, end)
 	}
 	tx := m.allocTx()
 	tx.src, tx.frame, tx.rate = src, frame, rate

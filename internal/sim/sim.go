@@ -163,15 +163,14 @@ const initialQueueCapacity = 64
 // Engine is a discrete-event simulation engine. The zero value is ready
 // to use; its clock starts at 0.
 type Engine struct {
-	now       time.Duration
-	queue     eventQueue
-	free      []*item // recycled items, LIFO
-	seq       uint64
-	fired     uint64
-	running   bool
-	stopped   bool
-	hooks     []Hook
-	interrupt func() bool
+	now     time.Duration
+	queue   eventQueue
+	free    []*item // recycled items, LIFO
+	seq     uint64
+	fired   uint64
+	running bool
+	stopped bool
+	hooks   []Hook
 }
 
 // New returns a new Engine with its clock at 0 and a pre-sized queue.
@@ -308,17 +307,6 @@ func (e *Engine) MustScheduleArgAt(at time.Duration, fn ArgEvent, arg any) Handl
 // dispatched completes. Pending events stay queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetInterrupt installs a predicate consulted before each event during
-// Run/RunUntil: when it returns true the drain stops where it stands —
-// pending events stay queued and the clock is NOT advanced to the
-// deadline. It exists for abandoning a run from outside the event
-// stream (the windowed-parallel runner points it at ctx.Err so a
-// cancelled window aborts mid-drain instead of finishing a million
-// queued deliveries); an interrupted engine's state is torn mid-window
-// and must be discarded, never merged. A nil predicate (the default)
-// restores the unconditional drain.
-func (e *Engine) SetInterrupt(fn func() bool) { e.interrupt = fn }
-
 // AddHook registers a dispatch hook. Hooks run in registration order
 // after every dispatched event and cannot be removed.
 func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
@@ -374,9 +362,6 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 		}
 		if deadline >= 0 && next > deadline {
 			break
-		}
-		if e.interrupt != nil && e.interrupt() {
-			return e.now
 		}
 		e.Step()
 	}

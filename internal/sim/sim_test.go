@@ -302,52 +302,3 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		}
 	}
 }
-
-func TestRunUntilInterrupt(t *testing.T) {
-	e := New()
-	var fired []time.Duration
-	for i := 1; i <= 6; i++ {
-		at := time.Duration(i) * time.Second
-		e.MustScheduleAt(at, func(now time.Duration) { fired = append(fired, now) })
-	}
-	// Interrupt once three events have run: the drain must stop where it
-	// stands, leaving the remaining events queued and the clock at the
-	// last dispatched event rather than the deadline.
-	e.SetInterrupt(func() bool { return len(fired) >= 3 })
-	if got := e.RunUntil(10 * time.Second); got != 3*time.Second {
-		t.Fatalf("interrupted RunUntil returned %v, want 3s", got)
-	}
-	if e.Now() != 3*time.Second {
-		t.Fatalf("clock advanced to %v under interrupt, want 3s", e.Now())
-	}
-	if e.Fired() != 3 {
-		t.Fatalf("fired %d events under interrupt, want 3", e.Fired())
-	}
-	// Clearing the hook resumes the ordinary unconditional drain, and the
-	// clock lands on the deadline as usual.
-	e.SetInterrupt(nil)
-	if got := e.RunUntil(10 * time.Second); got != 10*time.Second {
-		t.Fatalf("resumed RunUntil returned %v, want 10s", got)
-	}
-	if len(fired) != 6 {
-		t.Fatalf("total events fired %d, want 6", len(fired))
-	}
-	for i, at := range fired {
-		if want := time.Duration(i+1) * time.Second; at != want {
-			t.Fatalf("event %d fired at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestRunUntilInterruptImmediate(t *testing.T) {
-	e := New()
-	ran := false
-	e.MustScheduleAt(time.Second, func(now time.Duration) { ran = true })
-	e.SetInterrupt(func() bool { return true })
-	if got := e.RunUntil(5 * time.Second); got != 0 {
-		t.Fatalf("immediately-interrupted RunUntil returned %v, want 0", got)
-	}
-	if ran {
-		t.Fatal("event dispatched despite the interrupt firing before it")
-	}
-}

@@ -70,7 +70,7 @@ type Config struct {
 	// paper sends port messages at the lowest rate, 1 Mb/s).
 	CtrlRate dot11.Rate
 	// AckTimeout bounds the wait for a UDP Port Message ACK before
-	// retransmission (default DefaultAckTimeout).
+	// retransmission (default 60 ms).
 	AckTimeout time.Duration
 	// MaxRetries bounds port-message retransmissions (default 4).
 	MaxRetries int
@@ -124,13 +124,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultAckTimeout is the default bound on the UDP Port Message ACK
-// wait. The windowed-parallel runner stretches Config.AckTimeout by its
-// window on top of this: uplink crosses to the AP only at barriers, so
-// the handshake round trip grows by up to one window and the stock
-// timeout would misread that latency as loss.
-const DefaultAckTimeout = 60 * time.Millisecond
-
 // normalized fills defaults.
 func (c Config) normalized() Config {
 	if c.Tau <= 0 {
@@ -143,7 +136,7 @@ func (c Config) normalized() Config {
 		c.CtrlRate = dot11.Rate1Mbps
 	}
 	if c.AckTimeout <= 0 {
-		c.AckTimeout = DefaultAckTimeout
+		c.AckTimeout = 60 * time.Millisecond
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
@@ -450,6 +443,10 @@ func (s *Station) Leave(reason uint16) {
 // the first foreign beacon as a timestamp regression.
 func (s *Station) Migrate(eng *sim.Engine, med medium.Channel, bssid dot11.MACAddr) {
 	s.assocTimer.Cancel()
+	// The handles point into the old engine, whose worker keeps
+	// recycling their items after the roam: drop them so no later
+	// Cancel reads that engine's memory from the new shard.
+	s.suspendEv, s.ackTimer, s.assocTimer = sim.Handle{}, sim.Handle{}, sim.Handle{}
 	if om, ok := s.med.(interface{ Detach(dot11.MACAddr) }); ok {
 		om.Detach(s.cfg.Addr)
 	}
